@@ -15,8 +15,8 @@
 //!   256-entry product row of the constant coefficient (it lives comfortably
 //!   in L1) and stream the operand slices through it byte by byte.
 //! * [`Gf256Kernel::Nibble64`] — the fast kernel ([`nibble`]): split-nibble
-//!   (low/high 4-bit) product tables applied over wide lanes — `pshufb` table
-//!   shuffles on x86-64 (16 or 32 bytes per instruction), and a chunked-`u64`
+//!   (low/high 4-bit) product tables applied over wide lanes — AVX2 `vpshufb`
+//!   table shuffles on x86-64 (32 bytes per instruction), and a chunked-`u64`
 //!   SWAR evaluation of the same tables everywhere else — with a per-byte
 //!   scalar tail for the last `len % lane` bytes.
 //!
@@ -171,7 +171,7 @@ impl Gf256Kernel {
     }
 
     /// The wide-lane implementation the `nibble64` kernel resolved to on this
-    /// host (`avx2` / `ssse3` / `swar64`); `scalar` for the scalar kernel.
+    /// host (`avx2` / `swar64`); `scalar` for the scalar kernel.
     pub fn lane_label(self) -> &'static str {
         match self {
             Gf256Kernel::Scalar => "scalar",
@@ -421,6 +421,6 @@ mod tests {
         assert_eq!(Gf256Kernel::parse("simd"), None);
         assert_eq!(Gf256Kernel::best(), Gf256Kernel::Nibble64);
         assert_eq!(Gf256Kernel::Scalar.lane_label(), "scalar");
-        assert!(["swar64", "ssse3", "avx2"].contains(&Gf256Kernel::Nibble64.lane_label()));
+        assert!(["swar64", "avx2"].contains(&Gf256Kernel::Nibble64.lane_label()));
     }
 }

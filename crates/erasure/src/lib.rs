@@ -19,9 +19,7 @@
 //!   Built on [`gf256`] field kernels (wide-lane split-nibble `nibble64` by
 //!   default, with the scalar reference kernel selectable via
 //!   [`gf256::Gf256Kernel`]) and [`matrix`] linear algebra, with cache-blocked
-//!   parity application and a chunk-granular column-stripe parallel encode
-//!   ([`pipeline`] streams stripes to downstream placement/dissemination
-//!   stages).
+//!   parity application and a column-stripe parallel encode for large chunks.
 //!
 //! [`measure`] provides the timing/size harness behind Table 2, including
 //! decode timing from an exactly-minimal block subset.
@@ -35,7 +33,6 @@ pub mod matrix;
 pub mod measure;
 pub mod null;
 pub mod online;
-pub mod pipeline;
 pub mod rs;
 pub mod xor;
 
@@ -45,6 +42,5 @@ pub use matrix::GfMatrix;
 pub use measure::{measure_code, CodeCost};
 pub use null::NullCode;
 pub use online::OnlineCode;
-pub use pipeline::EncodedStripe;
 pub use rs::ReedSolomonCode;
 pub use xor::XorCode;

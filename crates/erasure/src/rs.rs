@@ -20,25 +20,27 @@
 //! default) and is **cache-blocked**: every coefficient's kernel tables are
 //! prepared once per encode ([`gf256::PreparedCoeff`]), then the parity
 //! columns are walked in L1-sized tiles ([`TILE_BYTES`]) with the source tile
-//! reused across all parity rows while it is hot.  Parallelism is
-//! **chunk-granular** rather than parity-row-granular: workers own disjoint
-//! *column stripes* of every parity block (so a single stripe touches each
-//! cache line once, and the split does not degenerate when `parity <
-//! workers`).  [`ReedSolomonCode::encode_with_workers`] exposes the worker
-//! count; [`ReedSolomonCode::parallel_encode`] sizes it from
-//! `available_parallelism()` and — on a 1-CPU host — takes the serial path
-//! with **zero** thread spawns.  The streaming stage form of the same split
-//! lives in [`crate::pipeline`].
+//! reused across all parity rows while it is hot.  Parallel workers own
+//! disjoint *column stripes* of every parity block, so the split does not
+//! depend on the parity count.
+//!
+//! [`ErasureCode::encode`] is the one engine every store path calls: it
+//! encodes serially below `PARALLEL_MIN_BYTES` of parity and column-parallel
+//! above it.  [`ReedSolomonCode::encode_serial`] and
+//! [`ReedSolomonCode::encode_with_workers`] pin the worker count for tests
+//! and benches; one worker runs on the calling thread with **zero** spawns.
 
 use crate::code::{join_blocks, split_into_blocks, DecodeError, EncodedBlock, ErasureCode};
 use crate::gf256::{self, Gf256Kernel, PreparedCoeff};
 use crate::matrix::GfMatrix;
-use crate::pipeline;
+use std::cell::Cell;
 use std::ops::Range;
 
 /// Parity workloads at least this large (parity rows × block size) are sharded
-/// over threads by the default [`ErasureCode::encode`] path.
-pub const DEFAULT_PARALLEL_MIN_BYTES: usize = 1 << 20;
+/// over threads by [`ErasureCode::encode`].  Measured on a 2-CPU host with
+/// RS(20,12): a 4 MiB chunk (2.5 MB of parity) encodes faster in parallel, a
+/// 256 KiB chunk (157 KB of parity) faster serially.
+const PARALLEL_MIN_BYTES: usize = 1 << 20;
 
 /// Tile width (in bytes) for cache-blocked parity application.  One source
 /// tile plus one parity tile per row must fit in L1/L2 alongside the kernel
@@ -50,6 +52,24 @@ pub(crate) const TILE_BYTES: usize = 16 * 1024;
 /// and join overhead outweighs the arithmetic.
 const MIN_WORKER_SPAN_BYTES: usize = 4 * 1024;
 
+thread_local! {
+    /// Worker threads spawned by *this* thread's encode calls.
+    static SPAWNED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Record one worker spawn on behalf of the calling thread.
+fn note_spawn() {
+    SPAWNED.with(|c| c.set(c.get() + 1));
+}
+
+/// Total encode worker threads spawned by the calling thread so far.  The
+/// counter is thread-local, so a test reads it before and after an encode
+/// and asserts the delta without interference from concurrent tests.
+#[cfg(test)]
+fn spawned_workers() -> u64 {
+    SPAWNED.with(|c| c.get())
+}
+
 /// Systematic Reed–Solomon code: `data` source blocks, `parity` parity blocks,
 /// any `data` of the `data + parity` encoded blocks decode.
 #[derive(Debug, Clone)]
@@ -59,7 +79,6 @@ pub struct ReedSolomonCode {
     /// The bottom `parity × data` rows of the systematic encode matrix; the
     /// top `data` rows are the identity and are never materialised.
     coef: GfMatrix,
-    parallel_min_bytes: usize,
     kernel: Gf256Kernel,
 }
 
@@ -83,16 +102,8 @@ impl ReedSolomonCode {
             data,
             parity,
             coef: enc.select_rows(&parity_rows),
-            parallel_min_bytes: DEFAULT_PARALLEL_MIN_BYTES,
             kernel: Gf256Kernel::best(),
         }
-    }
-
-    /// Override the parity-workload size (in bytes) above which the default
-    /// encode path goes parallel.  `usize::MAX` forces serial encoding.
-    pub fn with_parallel_threshold(mut self, bytes: usize) -> Self {
-        self.parallel_min_bytes = bytes;
-        self
     }
 
     /// Pin the GF(256) slice kernel (default: [`Gf256Kernel::best`]).  The
@@ -120,7 +131,7 @@ impl ReedSolomonCode {
 
     /// Prepare every parity coefficient's kernel tables once, so the tiled
     /// loops below never rebuild them per tile.
-    pub(crate) fn prepared_parity_matrix(&self) -> Vec<Vec<PreparedCoeff>> {
+    fn prepared_parity_matrix(&self) -> Vec<Vec<PreparedCoeff>> {
         (0..self.parity)
             .map(|r| {
                 (0..self.data)
@@ -178,13 +189,13 @@ impl ReedSolomonCode {
     /// Produces bit-identical output to [`ReedSolomonCode::encode_serial`]
     /// for every worker count.  `workers <= 1` runs entirely on the calling
     /// thread — zero spawns (pinned by a spawn-counting test) — and the
-    /// effective worker count is capped so every stripe keeps at least a few
-    /// KiB of parity columns.
+    /// effective worker count is capped so every stripe keeps at least
+    /// `MIN_WORKER_SPAN_BYTES` of parity columns.
     pub fn encode_with_workers(&self, chunk: &[u8], workers: usize) -> Vec<EncodedBlock> {
         let (sources, block_size) = split_into_blocks(chunk, self.data);
         let prepared = self.prepared_parity_matrix();
         let mut parity: Vec<Vec<u8>> = (0..self.parity).map(|_| vec![0u8; block_size]).collect();
-        let workers = workers.clamp(1, block_size.div_ceil(MIN_WORKER_SPAN_BYTES).max(1));
+        let workers = workers.clamp(1, (block_size / MIN_WORKER_SPAN_BYTES).max(1));
         if workers <= 1 {
             let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
             apply_parity_stripe(&prepared, &sources, 0..block_size, &mut outs);
@@ -212,7 +223,7 @@ impl ReedSolomonCode {
                 .into_iter()
                 .zip(spans)
                 .map(|(mut outs, span)| {
-                    pipeline::note_spawn();
+                    note_spawn();
                     s.spawn(move || apply_parity_stripe(prepared_ref, sources_ref, span, &mut outs))
                 })
                 .collect();
@@ -233,7 +244,7 @@ impl ReedSolomonCode {
 }
 
 /// `available_parallelism()`, defaulting to 1 when the host cannot say.
-pub(crate) fn available_workers() -> usize {
+fn available_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -241,7 +252,7 @@ pub(crate) fn available_workers() -> usize {
 
 /// Split `0..block_size` into `workers` contiguous column spans (the first
 /// `block_size % workers` spans one byte larger).
-pub(crate) fn column_spans(block_size: usize, workers: usize) -> Vec<Range<usize>> {
+fn column_spans(block_size: usize, workers: usize) -> Vec<Range<usize>> {
     let per = block_size / workers;
     let rem = block_size % workers;
     let mut spans = Vec::with_capacity(workers);
@@ -261,7 +272,7 @@ pub(crate) fn column_spans(block_size: usize, workers: usize) -> Vec<Range<usize
 /// `outs[r]` is the slice of parity row `r` covering exactly `cols` (workers
 /// hand in disjoint `split_at_mut` views of the full rows); it must be
 /// zero-initialised.
-pub(crate) fn apply_parity_stripe(
+fn apply_parity_stripe(
     prepared: &[Vec<PreparedCoeff>],
     sources: &[Vec<u8>],
     cols: Range<usize>,
@@ -301,7 +312,7 @@ impl ErasureCode for ReedSolomonCode {
 
     fn encode(&self, chunk: &[u8]) -> Vec<EncodedBlock> {
         let block_size = chunk.len().div_ceil(self.data);
-        if self.parity >= 2 && self.parity * block_size >= self.parallel_min_bytes {
+        if self.parity * block_size >= PARALLEL_MIN_BYTES {
             self.parallel_encode(chunk)
         } else {
             self.encode_serial(chunk)
@@ -520,25 +531,29 @@ mod tests {
         // test execution cannot perturb it.
         let code = ReedSolomonCode::new(8, 4);
         let chunk = sample_chunk(1 << 20, 12);
-        let before = pipeline::spawned_workers();
+        let before = spawned_workers();
         let blocks = code.encode_with_workers(&chunk, 1);
-        assert_eq!(pipeline::spawned_workers(), before, "serial path spawned");
+        assert_eq!(spawned_workers(), before, "serial path spawned");
         assert_eq!(blocks, code.encode_serial(&chunk));
         // And the threaded path does spawn (counted from this thread).
         let threaded = code.encode_with_workers(&chunk, 2);
-        assert_eq!(pipeline::spawned_workers(), before + 2);
+        assert_eq!(spawned_workers(), before + 2);
         assert_eq!(threaded, blocks);
     }
 
     #[test]
     fn tiny_blocks_do_not_spawn() {
-        // The span cap folds sub-4KiB parity blocks back to the serial path
+        // The span cap gives every worker at least MIN_WORKER_SPAN_BYTES of
+        // parity columns: blocks under two spans fold back to the serial path
         // even when many workers are requested.
         let code = ReedSolomonCode::new(4, 2);
-        let chunk = sample_chunk(1_000, 13);
-        let before = pipeline::spawned_workers();
-        let _ = code.encode_with_workers(&chunk, 8);
-        assert_eq!(pipeline::spawned_workers(), before);
+        for (block_size, spawns) in [(250usize, 0u64), (4_097, 0), (8_191, 0), (8_192, 2)] {
+            let chunk = sample_chunk(block_size * 4, 13);
+            let before = spawned_workers();
+            let blocks = code.encode_with_workers(&chunk, 8);
+            assert_eq!(spawned_workers() - before, spawns, "block {block_size}");
+            assert_eq!(blocks, code.encode_serial(&chunk), "block {block_size}");
+        }
     }
 
     #[test]
@@ -588,10 +603,29 @@ mod tests {
 
     #[test]
     fn default_encode_goes_parallel_only_above_threshold() {
-        // Identical results either way; this pins the dispatch boundary.
-        let code = ReedSolomonCode::new(8, 4).with_parallel_threshold(usize::MAX);
-        let chunk = sample_chunk(1 << 21, 7);
-        assert_eq!(code.encode(&chunk), code.encode_serial(&chunk));
+        // RS(20,12) is the ring's geometry.  A 256 KiB chunk (157 KB of
+        // parity) stays serial; a 4 MiB chunk (2.5 MB) goes column-parallel
+        // wherever the host has more than one CPU.  Output is identical
+        // either way.
+        let code = ReedSolomonCode::new(20, 12);
+        let small = sample_chunk(256 << 10, 7);
+        assert!(12 * small.len().div_ceil(20) < PARALLEL_MIN_BYTES);
+        let before = spawned_workers();
+        assert_eq!(code.encode(&small), code.encode_serial(&small));
+        assert_eq!(spawned_workers(), before, "below the threshold");
+
+        let large = sample_chunk(4 << 20, 8);
+        assert!(12 * large.len().div_ceil(20) >= PARALLEL_MIN_BYTES);
+        let before = spawned_workers();
+        let blocks = code.encode(&large);
+        let spawned = spawned_workers() - before;
+        let expected = if available_workers() > 1 {
+            available_workers().min(large.len().div_ceil(20) / MIN_WORKER_SPAN_BYTES)
+        } else {
+            0
+        };
+        assert_eq!(spawned, expected as u64, "above the threshold");
+        assert_eq!(blocks, code.encode_serial(&large));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!   monitor                 scrape a localhost ring's node stats for N rounds
 //!                           and emit a cluster-health report
 //!   rs-check                GF(256) kernel-consistency gate: encode with the
-//!                           scalar and nibble64 kernels (serial, parallel,
-//!                           stripe pipeline), fail on any block mismatch or
+//!                           scalar and nibble64 kernels (serial and
+//!                           parallel), fail on any block mismatch or
 //!                           minimal-subset recovery failure
 //! ```
 

@@ -151,8 +151,8 @@ proptest! {
 
     /// Reed–Solomon blocks are kernel-independent: both kernels encode the
     /// same bytes, each kernel decodes the other's blocks from an arbitrary
-    /// minimal subset, and the column-stripe parallel/pipeline paths agree
-    /// with serial — so stored artifacts never depend on the encoding host.
+    /// minimal subset, and the column-stripe parallel path agrees with
+    /// serial — so stored artifacts never depend on the encoding host.
     #[test]
     fn rs_round_trips_identically_across_kernels(
         data in proptest::collection::vec(any::<u8>(), 1..4096),
@@ -167,7 +167,6 @@ proptest! {
         let encoded = scalar.encode_serial(&data);
         prop_assert_eq!(&encoded, &fast.encode_serial(&data));
         prop_assert_eq!(&encoded, &fast.encode_with_workers(&data, workers));
-        prop_assert_eq!(&encoded, &fast.encode_via_stripes(&data, 512, workers));
         // An arbitrary minimal subset decodes under both kernels.
         let mut rng = DetRng::new(subset_seed);
         let subset: Vec<_> = rng
