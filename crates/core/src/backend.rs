@@ -31,11 +31,36 @@ pub struct FetchedBlock {
     pub payload: Option<Vec<u8>>,
 }
 
+/// One write of a [`StorageBackend::store_blocks`] batch: store `name` (with
+/// `payload`, on the byte path) under `key` on an explicit `node`.
+#[derive(Debug, Clone)]
+pub struct BlockWrite {
+    /// The node to store on.
+    pub node: NodeRef,
+    /// The key the object is stored under.
+    pub key: Id,
+    /// The object's name.
+    pub name: ObjectName,
+    /// The object's size, charged against the node's capacity.
+    pub size: ByteSize,
+    /// The object's payload bytes, on the byte path.
+    pub payload: Option<Vec<u8>>,
+}
+
 /// The storage operations a [`PeerStripe`] client drives against its backend.
 ///
 /// Supertrait [`ProbeView`] (and its supertrait `ClusterView`) supplies the
 /// paper's `getCapacity` probe plus routing/liveness queries; this trait adds
 /// the data-plane verbs.
+///
+/// The batch verbs ([`StorageBackend::store_blocks`],
+/// [`StorageBackend::fetch_blocks`], and [`ProbeView::probe_all`]) carry one
+/// chunk's worth of independent calls.  Their defaults issue the calls one at
+/// a time through the single-call verbs, which is what the simulator uses; a
+/// networked backend overrides them to have the whole batch in flight at
+/// once.  Either way a batch makes exactly the calls the single-call loop
+/// would (a failed probe aside, see [`ProbeView::probe_all`]) and answers
+/// them in call order.
 ///
 /// [`PeerStripe`]: crate::client::PeerStripe
 pub trait StorageBackend: ProbeView {
@@ -56,6 +81,25 @@ pub trait StorageBackend: ProbeView {
 
     /// Fetch an object from a specific node, by value.
     fn fetch_block(&self, node: NodeRef, name: &ObjectName) -> Option<FetchedBlock>;
+
+    /// Store a batch of objects, returning one result per write in call
+    /// order.  Every write is attempted: a refusal does not stop the writes
+    /// after it.  The caller rolls back the writes that succeeded when it
+    /// needs all-or-nothing.
+    fn store_blocks(&mut self, writes: Vec<BlockWrite>) -> Vec<Result<NodeRef, ClusterStoreError>> {
+        writes
+            .into_iter()
+            .map(|w| self.store_block(w.node, w.key, w.name, w.size, w.payload))
+            .collect()
+    }
+
+    /// Fetch a batch of `(node, name)` objects, returning one result per
+    /// request in call order.
+    fn fetch_blocks(&self, reqs: &[(NodeRef, &ObjectName)]) -> Vec<Option<FetchedBlock>> {
+        reqs.iter()
+            .map(|&(node, name)| self.fetch_block(node, name))
+            .collect()
+    }
 
     /// Undo a store: remove the object if the node tracks it, otherwise
     /// release its reserved space.

@@ -18,7 +18,7 @@
 //! examples and integration tests (real chunk payloads run through the real
 //! erasure codecs of `peerstripe-erasure`).
 
-use crate::backend::StorageBackend;
+use crate::backend::{BlockWrite, StorageBackend};
 use crate::cat::ChunkAllocationTable;
 use crate::cluster::StorageCluster;
 use crate::metrics::StoreMetrics;
@@ -258,47 +258,56 @@ impl<B: StorageBackend> PeerStripe<B> {
         (targets, chunk_size.min(remaining))
     }
 
-    /// Place the blocks of a chunk on their probed targets.  On any refusal the
-    /// chunk is rolled back and treated as zero-sized (the capacity changed
-    /// between the probe and the store, Section 4.3).
+    /// Place the blocks of a chunk on their probed targets, all in one
+    /// [`StorageBackend::store_blocks`] batch.  On any refusal every block
+    /// that did land is rolled back and the chunk is treated as zero-sized
+    /// (the capacity changed between the probe and the store, Section 4.3).
     fn place_chunk(
         &mut self,
         targets: &[(ObjectName, NodeRef)],
         chunk: u32,
         chunk_size: ByteSize,
-        payloads: Option<&[Vec<u8>]>,
+        payloads: Option<Vec<Vec<u8>>>,
     ) -> Option<ChunkPlacement> {
         let block_size = self.config.coding.block_size(chunk_size);
-        let mut placed: Vec<BlockPlacement> = Vec::with_capacity(targets.len());
-        for (i, (name, node)) in targets.iter().enumerate() {
-            let size = match payloads {
-                Some(p) => ByteSize::bytes(p[i].len() as u64),
-                None => block_size,
-            };
-            let payload = payloads.map(|p| p[i].clone());
-            match self
-                .backend
-                .store_block(*node, name.key(), name.clone(), size, payload)
-            {
-                Ok(_) => placed.push(BlockPlacement {
-                    name: name.clone(),
+        let mut payloads = payloads.map(Vec::into_iter);
+        let writes: Vec<BlockWrite> = targets
+            .iter()
+            .map(|(name, node)| {
+                let payload = payloads.as_mut().and_then(Iterator::next);
+                BlockWrite {
                     node: *node,
-                    size,
-                    domain: self.domain_of(*node),
-                }),
-                Err(_) => {
-                    // Roll back the blocks already placed for this chunk.
-                    for b in &placed {
-                        self.backend.rollback_block(b.node, &b.name, b.size);
-                    }
-                    return None;
+                    key: name.key(),
+                    name: name.clone(),
+                    size: payload
+                        .as_ref()
+                        .map_or(block_size, |p| ByteSize::bytes(p.len() as u64)),
+                    payload,
+                }
+            })
+            .collect();
+        let blocks: Vec<BlockPlacement> = writes
+            .iter()
+            .map(|w| BlockPlacement {
+                name: w.name.clone(),
+                node: w.node,
+                size: w.size,
+                domain: self.domain_of(w.node),
+            })
+            .collect();
+        let results = self.backend.store_blocks(writes);
+        if results.len() != blocks.len() || results.iter().any(Result::is_err) {
+            for (b, result) in blocks.iter().zip(&results) {
+                if result.is_ok() {
+                    self.backend.rollback_block(b.node, &b.name, b.size);
                 }
             }
+            return None;
         }
         Some(ChunkPlacement {
             chunk,
             size: chunk_size,
-            blocks: placed,
+            blocks,
             min_blocks_needed: self.config.coding.min_blocks_needed(),
         })
     }
@@ -316,32 +325,32 @@ impl<B: StorageBackend> PeerStripe<B> {
     fn store_cat(&mut self, file: &str, cat: &ChunkAllocationTable) -> Vec<NodeRef> {
         let name = ObjectName::cat(file);
         let size = cat.serialized_size();
-        let mut nodes = Vec::new();
         // Primary copy at the key's root, replicas on the numerically closest
         // neighbours (the leaf-set replication of Section 4.4).
         let replicas = self.config.cat_replicas.max(1);
         let targets = self.backend.replica_targets(name.key(), replicas);
-        for (i, (_, node)) in targets.into_iter().enumerate() {
-            // Each copy is an independent object so per-node keys stay unique;
-            // only the primary charge a lookup (the replicas ride the leaf set).
-            if i == 0 {
-                let _ = self.backend.route_lookup(name.key());
-            }
-            if self
-                .backend
-                .store_block(
-                    node,
-                    ObjectName::cat(format!("{file}#r{i}")).key(),
-                    name.clone(),
-                    size,
-                    None,
-                )
-                .is_ok()
-            {
-                nodes.push(node);
-            }
+        // Only the primary charges a lookup (the replicas ride the leaf set).
+        if !targets.is_empty() {
+            let _ = self.backend.route_lookup(name.key());
         }
-        nodes
+        // Each copy is an independent object so per-node keys stay unique.
+        let writes = targets
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, node))| BlockWrite {
+                node,
+                key: ObjectName::cat(format!("{file}#r{i}")).key(),
+                name: name.clone(),
+                size,
+                payload: None,
+            })
+            .collect();
+        let results = self.backend.store_blocks(writes);
+        targets
+            .into_iter()
+            .zip(results)
+            .filter_map(|((_, node), result)| result.is_ok().then_some(node))
+            .collect()
     }
 
     /// Core store loop shared by the placement path and the byte path.
@@ -388,7 +397,7 @@ impl<B: StorageBackend> PeerStripe<B> {
                 // Spread the codec's encoded blocks over the placed block objects.
                 distribute_payloads(&self.config.coding, blocks, targets.len())
             });
-            match self.place_chunk(&targets, chunk_no, chunk_size, payloads.as_deref()) {
+            match self.place_chunk(&targets, chunk_no, chunk_size, payloads) {
                 Some(placement) => {
                     placed_bytes += placement.blocks.iter().map(|b| b.size).sum();
                     chunk_sizes.push(chunk_size);
@@ -463,17 +472,7 @@ impl<B: StorageBackend> PeerStripe<B> {
                 continue;
             }
             if chunk_end > offset && chunk_start < end {
-                // Gather surviving payloads for this chunk.
-                let mut encoded: Vec<EncodedBlock> = Vec::new();
-                for b in &chunk.blocks {
-                    if let Some(obj) = self.backend.fetch_block(b.node, &b.name) {
-                        if let Some(payload) = &obj.payload {
-                            for eb in unpack_payload(payload) {
-                                encoded.push(eb);
-                            }
-                        }
-                    }
-                }
+                let encoded = self.fetch_codec_blocks(chunk).unwrap_or_default();
                 let chunk_bytes = codec.decode(&encoded, chunk.size.as_u64() as usize).ok()?;
                 let lo = offset.saturating_sub(chunk_start) as usize;
                 let hi = (end - chunk_start).min(chunk.size.as_u64()) as usize;
@@ -484,27 +483,41 @@ impl<B: StorageBackend> PeerStripe<B> {
         Some(out)
     }
 
-    /// Rebuild the payload of a lost block of `chunk_no` from the chunk's
-    /// surviving blocks: decode the chunk, re-encode it, and pack exactly the
-    /// codec blocks that no live node currently holds.  Returns `None` on the
-    /// metadata-only path (no payloads stored) or when the chunk cannot be
-    /// decoded from the survivors.
-    fn regenerate_payload(&self, file: &str, chunk_no: u32) -> Option<Vec<u8>> {
-        let manifest = self.manifests.get(file)?;
-        let chunk = manifest.chunks.iter().find(|c| c.chunk == chunk_no)?;
-        let mut have: Vec<EncodedBlock> = Vec::new();
-        let mut any_payload = false;
-        for b in &chunk.blocks {
-            if let Some(obj) = self.backend.fetch_block(b.node, &b.name) {
-                if let Some(p) = &obj.payload {
-                    any_payload = true;
-                    have.extend(unpack_payload(p));
-                }
-            }
-        }
-        if !any_payload {
+    /// Fetch every placed block of `chunk` in one batch and unpack the codec
+    /// blocks they carry.  `None` when no fetched block carries a payload:
+    /// the metadata-only path, or every holder is gone.
+    fn fetch_codec_blocks(&self, chunk: &ChunkPlacement) -> Option<Vec<EncodedBlock>> {
+        let reqs: Vec<(NodeRef, &ObjectName)> =
+            chunk.blocks.iter().map(|b| (b.node, &b.name)).collect();
+        let payloads: Vec<Vec<u8>> = self
+            .backend
+            .fetch_blocks(&reqs)
+            .into_iter()
+            .filter_map(|obj| obj?.payload)
+            .collect();
+        if payloads.is_empty() {
             return None;
         }
+        Some(payloads.iter().flat_map(|p| unpack_payload(p)).collect())
+    }
+
+    /// The replacement blocks for the placed blocks of `chunk` whose sizes
+    /// are `lost`, as `(size, payload)` pairs.
+    ///
+    /// On the metadata-only path that is one size-only block per lost block.
+    /// On the byte path the survivors are fetched once and decoded once, and
+    /// the codec blocks no live node holds any more are split over the lost
+    /// placed blocks the way [`distribute_payloads`] splits them at store
+    /// time; a share left without codec blocks is not placed at all.
+    /// Returns `None` when the survivors cannot be decoded.
+    fn rebuild_lost_blocks(
+        &self,
+        chunk: &ChunkPlacement,
+        lost: &[ByteSize],
+    ) -> Option<Vec<(ByteSize, Option<Vec<u8>>)>> {
+        let Some(have) = self.fetch_codec_blocks(chunk) else {
+            return Some(lost.iter().map(|&size| (size, None)).collect());
+        };
         let codec = self.config.coding.codec(self.config.data_path_blocks);
         let present: std::collections::BTreeSet<u32> = have.iter().map(|b| b.index).collect();
         let missing: Vec<u32> = (0..codec.encoded_blocks() as u32)
@@ -513,7 +526,16 @@ impl<B: StorageBackend> PeerStripe<B> {
         let rebuilt = codec
             .reencode(&have, chunk.size.as_u64() as usize, &missing)
             .ok()?;
-        Some(pack_payload(&rebuilt))
+        Some(
+            group_codec_blocks(&self.config.coding, rebuilt, lost.len())
+                .into_iter()
+                .filter(|group| !group.is_empty())
+                .map(|group| {
+                    let payload = pack_payload(&group);
+                    (ByteSize::bytes(payload.len() as u64), Some(payload))
+                })
+                .collect(),
+        )
     }
 
     /// Handle the failure of a node: regenerate the encoded blocks it held from
@@ -522,10 +544,12 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// Regenerated blocks get a fresh ECB number (the paper notes the recreated
     /// block "may not be exactly the same … but it is functionally equal") and
     /// are placed on the takeover inheritor, falling back to normal DHT placement
-    /// when the inheritor has no space ("drop and recreate elsewhere").
+    /// when the inheritor has no space ("drop and recreate elsewhere").  Each
+    /// affected chunk is rebuilt once, however many of its blocks were lost.
     pub fn handle_node_failure(&mut self, failed: NodeRef, takeover: &Takeover) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        let mut regenerations: Vec<(String, u32, ByteSize)> = Vec::new();
+        // (file, chunk, sizes of the chunk's placed blocks on the failed node)
+        let mut regenerations: Vec<(String, u32, Vec<ByteSize>)> = Vec::new();
         let mut cat_repairs: Vec<String> = Vec::new();
 
         for manifest in self.manifests.iter() {
@@ -533,14 +557,12 @@ impl<B: StorageBackend> PeerStripe<B> {
                 cat_repairs.push(manifest.name.clone());
             }
             for chunk in &manifest.chunks {
-                let lost: usize = chunk.blocks_on(failed).count();
-                if lost == 0 {
+                let lost: Vec<ByteSize> = chunk.blocks_on(failed).map(|b| b.size).collect();
+                if lost.is_empty() {
                     continue;
                 }
                 if chunk.is_recoverable(&self.backend) {
-                    for b in chunk.blocks_on(failed) {
-                        regenerations.push((manifest.name.clone(), chunk.chunk, b.size));
-                    }
+                    regenerations.push((manifest.name.clone(), chunk.chunk, lost));
                 } else {
                     report.chunks_lost += 1;
                     report.bytes_lost += chunk.size;
@@ -548,91 +570,18 @@ impl<B: StorageBackend> PeerStripe<B> {
             }
         }
 
-        for (file, chunk_no, size) in regenerations {
-            let next_ecb = self
-                .manifests
-                .get(&file)
-                .and_then(|m| m.chunks.iter().find(|c| c.chunk == chunk_no))
-                .map(|c| {
-                    c.blocks
-                        .iter()
-                        .map(|b| match &b.name {
-                            ObjectName::Block { ecb, .. } => *ecb + 1,
-                            _ => 1,
-                        })
-                        .max()
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0)
-                .max(self.config.coding.placed_blocks() as u32);
-            let name = ObjectName::block(file.clone(), chunk_no, next_ecb);
-            // Byte path: rebuild the lost block's payload from the surviving
-            // blocks of its chunk ("the newly created encoded block may not be
-            // exactly the same as the one that has been lost, but it is
-            // functionally equal").  The regenerated payload carries exactly the
-            // codec blocks that are no longer present on any live node.
-            let payload = self.regenerate_payload(&file, chunk_no);
-            let size = payload
-                .as_ref()
-                .map(|p| ByteSize::bytes(p.len() as u64))
-                .unwrap_or(size);
-            // A rebuilt block must never collocate with a live block of its
-            // own chunk — landing on an existing holder would silently shrink
-            // the chunk's failure tolerance.
-            let holders: Vec<NodeRef> = self
-                .manifests
-                .get(&file)
-                .and_then(|m| m.chunks.iter().find(|c| c.chunk == chunk_no))
-                .map(|c| {
-                    c.blocks
-                        .iter()
-                        .map(|b| b.node)
-                        .filter(|&n| self.backend.is_alive(n))
-                        .collect()
-                })
-                .unwrap_or_default();
-            // Prefer the inheritor of the failed key space; fall back to the
-            // placement strategy (which applies the same exclusion, plus any
-            // domain constraints).
-            let inheritor = takeover.inheritor_of(name.key()).1;
-            let target = if self.backend.can_store(inheritor, size)
-                && self.backend.is_alive(inheritor)
-                && !holders.contains(&inheritor)
-            {
-                Some(inheritor)
-            } else {
-                let mut rng = DetRng::new(name.key().seed());
-                let request = RepairRequest {
-                    want: 1,
-                    size,
-                    holders: &holders,
-                    domain_cap: self.domain_cap(),
-                };
-                self.placement
-                    .repair_targets(&self.backend, self.topology.as_ref(), &request, &mut rng)
-                    .into_iter()
-                    .next()
+        for (file, chunk_no, lost) in regenerations {
+            let Some(chunk) = self.chunk(&file, chunk_no) else {
+                continue;
             };
-            if let Some(node) = target {
-                if self
-                    .backend
-                    .store_block(node, name.key(), name.clone(), size, payload)
-                    .is_ok()
-                {
+            // Undecodable survivors leave the chunk as it is for a later pass.
+            let Some(rebuilt) = self.rebuild_lost_blocks(chunk, &lost) else {
+                continue;
+            };
+            for (size, payload) in rebuilt {
+                if self.place_rebuilt_block(&file, chunk_no, failed, takeover, size, payload) {
                     report.blocks_regenerated += 1;
                     report.bytes_regenerated += size;
-                    let domain = self.domain_of(node);
-                    if let Some(m) = self.manifests.get_mut(&file) {
-                        if let Some(c) = m.chunks.iter_mut().find(|c| c.chunk == chunk_no) {
-                            c.blocks.push(BlockPlacement {
-                                name,
-                                node,
-                                size,
-                                domain,
-                            });
-                            c.blocks.retain(|b| b.node != failed);
-                        }
-                    }
                 }
             }
         }
@@ -653,6 +602,104 @@ impl<B: StorageBackend> PeerStripe<B> {
             }
         }
         report
+    }
+
+    /// One chunk of a tracked file.
+    fn chunk(&self, file: &str, chunk_no: u32) -> Option<&ChunkPlacement> {
+        self.manifests
+            .get(file)?
+            .chunks
+            .iter()
+            .find(|c| c.chunk == chunk_no)
+    }
+
+    /// One chunk of a tracked file, mutably.
+    fn chunk_mut(&mut self, file: &str, chunk_no: u32) -> Option<&mut ChunkPlacement> {
+        self.manifests
+            .get_mut(file)?
+            .chunks
+            .iter_mut()
+            .find(|c| c.chunk == chunk_no)
+    }
+
+    /// Place one rebuilt block of `chunk_no` on a live node that holds no
+    /// other block of the chunk, and record it in the manifest in place of
+    /// the failed node's blocks.  Returns whether the block was stored.
+    fn place_rebuilt_block(
+        &mut self,
+        file: &str,
+        chunk_no: u32,
+        failed: NodeRef,
+        takeover: &Takeover,
+        size: ByteSize,
+        payload: Option<Vec<u8>>,
+    ) -> bool {
+        let Some(chunk) = self.chunk(file, chunk_no) else {
+            return false;
+        };
+        let next_ecb = chunk
+            .blocks
+            .iter()
+            .map(|b| match &b.name {
+                ObjectName::Block { ecb, .. } => *ecb + 1,
+                _ => 1,
+            })
+            .max()
+            .unwrap_or(0)
+            .max(self.config.coding.placed_blocks() as u32);
+        // A rebuilt block must never collocate with a live block of its own
+        // chunk — landing on an existing holder would silently shrink the
+        // chunk's failure tolerance.
+        let holders: Vec<NodeRef> = chunk
+            .blocks
+            .iter()
+            .map(|b| b.node)
+            .filter(|&n| self.backend.is_alive(n))
+            .collect();
+        let name = ObjectName::block(file, chunk_no, next_ecb);
+        // Prefer the inheritor of the failed key space; fall back to the
+        // placement strategy (which applies the same exclusion, plus any
+        // domain constraints).
+        let inheritor = takeover.inheritor_of(name.key()).1;
+        let target = if self.backend.can_store(inheritor, size)
+            && self.backend.is_alive(inheritor)
+            && !holders.contains(&inheritor)
+        {
+            Some(inheritor)
+        } else {
+            let mut rng = DetRng::new(name.key().seed());
+            let request = RepairRequest {
+                want: 1,
+                size,
+                holders: &holders,
+                domain_cap: self.domain_cap(),
+            };
+            self.placement
+                .repair_targets(&self.backend, self.topology.as_ref(), &request, &mut rng)
+                .into_iter()
+                .next()
+        };
+        let Some(node) = target else {
+            return false;
+        };
+        if self
+            .backend
+            .store_block(node, name.key(), name.clone(), size, payload)
+            .is_err()
+        {
+            return false;
+        }
+        let domain = self.domain_of(node);
+        if let Some(c) = self.chunk_mut(file, chunk_no) {
+            c.blocks.push(BlockPlacement {
+                name,
+                node,
+                size,
+                domain,
+            });
+            c.blocks.retain(|b| b.node != failed);
+        }
+        true
     }
 
     /// Reconstruct a file's CAT by probing chunk objects in order (Section 4.4:
@@ -712,6 +759,19 @@ fn distribute_payloads(
     blocks: Vec<EncodedBlock>,
     targets: usize,
 ) -> Vec<Vec<u8>> {
+    group_codec_blocks(policy, blocks, targets)
+        .iter()
+        .map(|g| pack_payload(g))
+        .collect()
+}
+
+/// The grouping behind [`distribute_payloads`], before packing: which codec
+/// blocks each of `targets` placed blocks carries.
+fn group_codec_blocks(
+    policy: &CodingPolicy,
+    blocks: Vec<EncodedBlock>,
+    targets: usize,
+) -> Vec<Vec<EncodedBlock>> {
     let mut groups: Vec<Vec<EncodedBlock>> = vec![Vec::new(); targets];
     match *policy {
         CodingPolicy::Xor { group } if targets == group + 1 => {
@@ -730,7 +790,7 @@ fn distribute_payloads(
             }
         }
     }
-    groups.into_iter().map(|g| pack_payload(&g)).collect()
+    groups
 }
 
 /// Serialise a group of encoded blocks into one payload: `[count][index, len, bytes]*`.
@@ -1181,6 +1241,53 @@ mod tests {
             }
         }
         assert!(ps.is_file_available("d"));
+    }
+
+    #[test]
+    fn repair_rebuilds_a_chunk_once_however_many_of_its_blocks_were_lost() {
+        // Eight nodes and RS(5, 3) over five source blocks: eight placed
+        // blocks of one codec block each, so a node can hold two blocks of the
+        // chunk.  On this seed the victim does, and the survivors leave two
+        // non-holders to rebuild on.
+        let mut ps = PeerStripe::new(
+            cluster(8, ByteSize::gb(1), 10),
+            PeerStripeConfig {
+                data_path_blocks: 5,
+                ..PeerStripeConfig::default()
+                    .with_coding(CodingPolicy::ReedSolomon { data: 5, parity: 3 })
+            },
+        );
+        let data: Vec<u8> = (0..262_144u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert!(ps.store_data("f", &data).is_stored());
+        let chunk = ps.manifest("f").unwrap().chunks[0].clone();
+        let victim = (0..8)
+            .find(|&n| chunk.blocks_on(n).count() == 2)
+            .expect("a node holding two blocks of the chunk");
+        let lost_bytes: ByteSize = chunk.blocks_on(victim).map(|b| b.size).sum();
+        let takeover = ps.cluster_mut().fail_node(victim).unwrap();
+        let report = ps.handle_node_failure(victim, &takeover);
+
+        assert_eq!(report.blocks_regenerated, 2);
+        assert_eq!(report.bytes_regenerated, lost_bytes);
+        let repaired = &ps.manifest("f").unwrap().chunks[0];
+        assert_eq!(repaired.blocks.len(), 8);
+        assert!(repaired.blocks.iter().all(|b| b.node != victim));
+        for b in &repaired.blocks {
+            let obj = ps.cluster().fetch_from(b.node, &b.name).unwrap();
+            let codec_blocks = unpack_payload(obj.payload.as_deref().unwrap());
+            assert_eq!(codec_blocks.len(), 1, "{} carries one codec block", b.name);
+        }
+        // The rebuilt blocks sit on two distinct nodes that held no survivor.
+        let survivors: Vec<NodeRef> = chunk
+            .blocks
+            .iter()
+            .map(|b| b.node)
+            .filter(|&n| n != victim)
+            .collect();
+        let rebuilt: Vec<NodeRef> = repaired.blocks[6..].iter().map(|b| b.node).collect();
+        assert_ne!(rebuilt[0], rebuilt[1]);
+        assert!(rebuilt.iter().all(|n| !survivors.contains(n)));
+        assert_eq!(ps.retrieve_data("f").unwrap(), data);
     }
 
     #[test]

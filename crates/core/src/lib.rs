@@ -36,7 +36,7 @@ pub mod policy;
 pub mod storage;
 pub mod system;
 
-pub use backend::{FetchedBlock, StorageBackend};
+pub use backend::{BlockWrite, FetchedBlock, StorageBackend};
 pub use cat::{ChunkAllocationTable, ChunkExtent};
 pub use churn::{DamageLedger, NodeLoss};
 pub use client::{PeerStripe, PeerStripeConfig, RecoveryReport};

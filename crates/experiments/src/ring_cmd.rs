@@ -60,6 +60,20 @@ pub struct RpcStat {
     pub mean_ms: f64,
 }
 
+/// How far each operation's RPCs overlapped: the summed latency of the
+/// gateway RPCs the operation issued divided by its wall time.  1.0 means
+/// strictly one RPC after another (plus client work); above 1.0 the gateway
+/// had several RPCs in flight at once.  Informational, not a gate.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct RpcOverlap {
+    /// The store.
+    pub store: f64,
+    /// The healthy fetch.
+    pub fetch: f64,
+    /// The repair path.
+    pub repair: f64,
+}
+
 /// One daemon's server-side view of the run.
 #[derive(Debug, Clone, Serialize)]
 pub struct NodeSideStats {
@@ -97,6 +111,8 @@ pub struct RingReport {
     pub recovered: bool,
     /// Per-operation RPC counters and mean latencies.
     pub rpc: Vec<RpcStat>,
+    /// Summed RPC latency over wall time, per operation.
+    pub rpc_overlap: RpcOverlap,
     /// Full metrics-registry export (counters + latency histograms).
     pub metrics: RegistryExport,
     /// Every daemon's server-side stats (victim scraped pre-kill).
@@ -139,6 +155,29 @@ fn unattributed_count(
         .filter(|e| e.is_ok())
         .filter(|e| !e.request_id.is_some_and(|r| node_rids.contains(&r)))
         .count() as u64
+}
+
+/// Summed latency of every gateway RPC so far, in milliseconds.
+fn rpc_latency_ms(gateway: &RingGateway) -> f64 {
+    gateway
+        .export_metrics()
+        .histograms
+        .iter()
+        .filter(|h| h.name == "gateway_rpc_latency_ms")
+        .map(|h| h.sum)
+        .sum()
+}
+
+/// Run `f` against the client's gateway, returning its result, its wall
+/// time in milliseconds, and its RPC overlap (see [`RpcOverlap`]).
+fn timed_rpcs<T>(
+    client: &mut PeerStripe<RingGateway>,
+    f: impl FnOnce(&mut PeerStripe<RingGateway>) -> T,
+) -> (T, f64, f64) {
+    let before = rpc_latency_ms(client.backend());
+    let (value, ms) = timed(|| f(client));
+    let overlap = (rpc_latency_ms(client.backend()) - before) / ms.max(f64::MIN_POSITIVE);
+    (value, ms, overlap)
 }
 
 /// Milliseconds elapsed while running `f`, paired with its result.
@@ -225,11 +264,11 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
     let name = "ring/payload.bin";
     let data = file_bytes(config.file_size, config.seed);
 
-    let (outcome, store_ms) = timed(|| client.store_data(name, &data));
+    let (outcome, store_ms, store_overlap) = timed_rpcs(&mut client, |c| c.store_data(name, &data));
     if !outcome.is_stored() {
         return Err(format!("store failed: {outcome:?}"));
     }
-    let (fetched, fetch_ms) = timed(|| client.retrieve_data(name));
+    let (fetched, fetch_ms, fetch_overlap) = timed_rpcs(&mut client, |c| c.retrieve_data(name));
     let whole_ok = fetched.as_deref() == Some(&data[..]);
 
     // Kill a daemon that holds blocks of the file (overlay-random placement
@@ -261,7 +300,8 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
         .backend_mut()
         .mark_failed(victim)
         .ok_or("victim was not a ring member")?;
-    let (report, repair_ms) = timed(|| client.handle_node_failure(victim, &takeover));
+    let (report, repair_ms, repair_overlap) =
+        timed_rpcs(&mut client, |c| c.handle_node_failure(victim, &takeover));
 
     let (reread, _) = timed(|| client.retrieve_data(name));
     let recovered = whole_ok && degraded_ok && reread.as_deref() == Some(&data[..]);
@@ -307,6 +347,11 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
         chunks_lost: report.chunks_lost,
         recovered,
         rpc,
+        rpc_overlap: RpcOverlap {
+            store: store_overlap,
+            fetch: fetch_overlap,
+            repair: repair_overlap,
+        },
         metrics: export,
         node_stats,
         gateway_rpcs_logged: gateway_log.len() as u64,
@@ -334,6 +379,10 @@ pub fn render_ring_text(report: &RingReport) -> String {
     out.push_str(&format!(
         "  {} gateway RPCs logged, {} unattributed\n",
         report.gateway_rpcs_logged, report.unattributed_rpcs
+    ));
+    out.push_str(&format!(
+        "  rpc overlap (summed rpc latency / wall time): store {:.2} | fetch {:.2} | repair {:.2}\n",
+        report.rpc_overlap.store, report.rpc_overlap.fetch, report.rpc_overlap.repair
     ));
     out.push_str("  op             calls  errors  mean ms\n");
     for stat in &report.rpc {
@@ -405,6 +454,10 @@ mod tests {
         assert!(!victim_stats.stats.op_log.is_empty());
         let json = render_ring_json(&report);
         assert!(json.contains("gateway_rpc_latency_ms"), "{json}");
+        assert!(json.contains("\"rpc_overlap\""), "{json}");
+        // Every measured operation issued RPCs.
+        let o = report.rpc_overlap;
+        assert!(o.store > 0.0 && o.fetch > 0.0 && o.repair > 0.0, "{o:?}");
         assert!(json.contains("node_requests_total"), "{json}");
         assert!(!render_ring_text(&report).is_empty());
     }

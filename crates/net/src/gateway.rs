@@ -9,18 +9,46 @@
 //! the retrieve path pulls block bytes off the wire, and recovery reads
 //! surviving blocks from live daemons.
 //!
-//! Connections are pooled per node and transparently re-dialed once after a
-//! transport error.  Every RPC is counted and its wall-clock latency recorded
-//! in a [`MetricsRegistry`] (`gateway_rpc_total`, `gateway_rpc_errors`,
-//! `gateway_rpc_latency_ms`, labelled by operation), which the ring harness
-//! exports into its JSON report.
+//! # Fan-out
+//!
+//! The batch verbs ([`ProbeView::probe_all`], [`StorageBackend::store_blocks`],
+//! [`StorageBackend::fetch_blocks`]) carry one chunk's independent calls, and
+//! the gateway pipelines them: every request of a batch is written to its
+//! node's connection before any reply is read, and the replies are then read
+//! in call order.  A chunk's probes, block stores and fetches therefore cost
+//! about one round trip instead of one per block: a chunk's blocks, like a
+//! CAT's copies, are created together rather than pushed one after another.
+//! A batch
+//! carries one kind of operation, so the gateway never blocks writing a large
+//! request while a daemon is blocked writing a large reply.  A single call is
+//! a batch of one; there is no other RPC path.
+//!
+//! # Connections and failures
+//!
+//! Each node has at most one pooled connection.  The pool's lock is held only
+//! to take streams out and put them back, never across socket I/O, so a hung
+//! daemon stalls only the callers waiting on it.  A pooled stream found dead
+//! (reset, end of stream, broken pipe) before its first reply is re-dialed
+//! once and the node's share of the batch resent.  A timeout is not retried:
+//! the node's remaining calls in the batch fail at once, so a stalled node
+//! costs one batch at most one [`GatewayConfig::timeout`].
+//!
+//! # Telemetry
+//!
+//! Every RPC is counted and timed in a [`MetricsRegistry`]
+//! (`gateway_rpc_total`, `gateway_rpc_errors`, `gateway_rpc_latency_ms`,
+//! labelled by operation), which the ring harness exports into its JSON
+//! report, and logged with a request id of its own that the node echoes into
+//! its op log.  A pipelined RPC's latency runs from its batch's first write to
+//! its own reply, so the summed RPC latency of an operation can exceed the
+//! operation's wall time: the excess is the overlap.
 
 use crate::protocol::{
-    NodeStats, OpLogEntry, RemoteError, RepairBlock, Request, Response, WireError,
+    read_response_traced, write_request_traced, NodeStats, OpLogEntry, RemoteError, RepairBlock,
+    Request, Response, WireError,
 };
-use crate::server::call_traced;
 use peerstripe_core::{
-    ClusterStoreError, FetchedBlock, NodeStoreError, ObjectName, StorageBackend,
+    BlockWrite, ClusterStoreError, FetchedBlock, NodeStoreError, ObjectName, StorageBackend,
 };
 use peerstripe_overlay::{Id, IdRing, NodeRef, Takeover};
 use peerstripe_placement::{ClusterView, ProbeView};
@@ -46,7 +74,8 @@ pub struct NodeEndpoint {
 /// Gateway tunables.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Dial timeout and per-RPC socket read/write timeout.
+    /// Dial timeout and socket read/write timeout: the longest one batch
+    /// waits on a node that stopped answering.
     pub timeout: Duration,
 }
 
@@ -90,6 +119,8 @@ pub struct RingGateway {
     ids: BTreeMap<NodeRef, Id>,
     ring: IdRing,
     timeout: Duration,
+    /// Idle pooled connections, one per node.  Locked only to take a stream
+    /// out or put one back, never across socket I/O.
     conns: Mutex<BTreeMap<NodeRef, TcpStream>>,
     /// Last capacity report seen per node — the `&self` view methods
     /// ([`ClusterView::report_of`]) answer from this cache; live probes
@@ -107,6 +138,103 @@ pub struct RingGateway {
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     // Poisoning only marks a panicked peer thread; the maps stay usable.
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// True for a socket timeout, which re-dialing would only repeat.
+fn is_timeout(e: &WireError) -> bool {
+    matches!(e, WireError::Io(io) if matches!(
+        io.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    ))
+}
+
+/// One node's share of a batch: its connection and its calls in call order.
+struct Lane<'a> {
+    node: NodeRef,
+    stream: Option<TcpStream>,
+    /// Whether `stream` came from the pool, and so may have gone stale.
+    pooled: bool,
+    /// The node's requests, in call order, with their request ids.
+    calls: Vec<(&'a Request, Option<u64>)>,
+    /// Replies read so far.
+    replies: usize,
+    /// Once set, every remaining call of the lane fails with this error.
+    failure: Option<WireError>,
+}
+
+impl Lane<'_> {
+    /// A transport failure on a pooled stream before its first reply means
+    /// the daemon dropped the idle connection (restart, idle timeout): worth
+    /// one re-dial.  Anything later, or a timeout, is the node's fault.
+    fn may_redial(&self, e: &WireError) -> bool {
+        self.pooled && self.replies == 0 && e.is_transport() && !is_timeout(e)
+    }
+
+    /// Write every request of the lane, dialing first when the pool had no
+    /// stream for the node.
+    fn send(&mut self, gateway: &RingGateway) {
+        loop {
+            let mut stream = match self.stream.take() {
+                Some(stream) => stream,
+                None => match gateway.dial(self.node) {
+                    Ok(stream) => {
+                        self.pooled = false;
+                        stream
+                    }
+                    Err(e) => {
+                        self.failure = Some(e);
+                        return;
+                    }
+                },
+            };
+            let written = self
+                .calls
+                .iter()
+                .try_for_each(|&(req, rid)| write_request_traced(&mut stream, req, rid));
+            match written {
+                Ok(()) => {
+                    self.stream = Some(stream);
+                    return;
+                }
+                Err(e) if self.may_redial(&e) => continue,
+                Err(e) => {
+                    self.failure = Some(e);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Read the lane's next reply.
+    fn receive(&mut self, gateway: &RingGateway) -> Result<Response, WireError> {
+        loop {
+            if let Some(e) = &self.failure {
+                return Err(e.clone());
+            }
+            let Some(stream) = self.stream.as_mut() else {
+                return Err(WireError::Body(format!(
+                    "no connection to node {}",
+                    self.node
+                )));
+            };
+            match read_response_traced(stream) {
+                Ok((resp, _)) => {
+                    self.replies += 1;
+                    return Ok(resp);
+                }
+                Err(e) if self.may_redial(&e) => {
+                    self.stream = None;
+                    self.send(gateway);
+                }
+                Err(e) => {
+                    // The stream may no longer be frame-aligned: drop it.
+                    self.stream = None;
+                    self.failure = Some(e.clone());
+                    return Err(e);
+                }
+            }
+        }
+    }
 }
 
 impl RingGateway {
@@ -181,25 +309,99 @@ impl RingGateway {
         }
     }
 
-    /// One RPC against `node`: pooled connection, one transparent re-dial
-    /// after a transport error, latency and outcome recorded under `op`, and
-    /// a fresh request id assigned so the node's op log can attribute the
-    /// call back to this gateway entry.
-    fn rpc(&self, node: NodeRef, op: &'static str, req: &Request) -> Result<Response, WireError> {
-        let rid = self.next_rid.fetch_add(1, Ordering::Relaxed);
+    /// Exchange one batch with the daemons: take each node's pooled stream
+    /// (dialing where there is none), write every request before reading any
+    /// reply, read the replies in call order, and pool the streams that
+    /// stayed frame-aligned.  Returns each call's outcome with the time from
+    /// the batch's first write to its reply.
+    fn exchange(
+        &self,
+        calls: &[(NodeRef, &Request, Option<u64>)],
+    ) -> Vec<(Result<Response, WireError>, Duration)> {
+        let mut lanes: BTreeMap<NodeRef, Lane<'_>> = BTreeMap::new();
+        for &(node, req, rid) in calls {
+            lanes
+                .entry(node)
+                .or_insert_with(|| Lane {
+                    node,
+                    stream: None,
+                    pooled: false,
+                    calls: Vec::new(),
+                    replies: 0,
+                    failure: None,
+                })
+                .calls
+                .push((req, rid));
+        }
+        {
+            let mut pool = lock(&self.conns);
+            for lane in lanes.values_mut() {
+                lane.stream = pool.remove(&lane.node);
+                lane.pooled = lane.stream.is_some();
+            }
+        }
         let start = std::time::Instant::now(); // lint:allow(wall-clock) -- measuring real RPC latency on the network path is the point of the gateway histograms
-        let result = self.rpc_uninstrumented(node, req, Some(rid));
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        let kind = Self::outcome_kind(&result);
+        for lane in lanes.values_mut() {
+            lane.send(self);
+        }
+        let outcomes = calls
+            .iter()
+            .map(|(node, ..)| {
+                let result = match lanes.get_mut(node) {
+                    Some(lane) => lane.receive(self),
+                    None => Err(WireError::Body(format!("no lane for node {node}"))),
+                };
+                (result, start.elapsed())
+            })
+            .collect();
+        let mut pool = lock(&self.conns);
+        for lane in lanes.into_values() {
+            if let (Some(stream), None) = (lane.stream, lane.failure) {
+                pool.insert(lane.node, stream);
+            }
+        }
+        outcomes
+    }
+
+    /// One batch of RPCs of a single operation, pipelined by
+    /// [`RingGateway::exchange`].  Every call gets a fresh request id, so the
+    /// node's op log can attribute it back to this gateway's entry, and is
+    /// counted, timed, and logged under `op` on its own.  A `None` call was
+    /// settled by the caller without the network (its node is not a ring
+    /// member): nothing is sent or recorded for it and its outcome is `None`.
+    fn rpc_batch(
+        &self,
+        op: &'static str,
+        calls: &[Option<(NodeRef, Request)>],
+    ) -> Vec<Option<Result<Response, WireError>>> {
+        let live = calls.iter().flatten().count() as u64;
+        let first_rid = self.next_rid.fetch_add(live, Ordering::Relaxed);
+        let traced: Vec<(NodeRef, &Request, Option<u64>)> = calls
+            .iter()
+            .flatten()
+            .zip(first_rid..)
+            .map(|((node, req), rid)| (*node, req, Some(rid)))
+            .collect();
+        let outcomes = self.exchange(&traced);
+        let records: Vec<(u64, f64, Option<&'static str>)> = (first_rid..)
+            .zip(&outcomes)
+            .map(|(rid, (result, elapsed))| {
+                let ms = elapsed.as_secs_f64() * 1e3;
+                (rid, ms, Self::outcome_kind(result))
+            })
+            .collect();
         if let Some(h) = self.handles.get(op) {
             let mut metrics = lock(&self.metrics);
-            metrics.inc(h.total, 1);
-            metrics.observe(h.latency, elapsed_ms);
-            if let Some(kind) = kind {
-                // Registered on first use: the kind space is open-ended, so
-                // eager registration would pin down kinds that never occur.
-                let errors = metrics.counter("gateway_rpc_errors", &[("op", op), ("kind", kind)]);
-                metrics.inc(errors, 1);
+            for &(_, ms, kind) in &records {
+                metrics.inc(h.total, 1);
+                metrics.observe(h.latency, ms);
+                if let Some(kind) = kind {
+                    // Registered on first use: the kind space is open-ended, so
+                    // eager registration would pin down kinds that never occur.
+                    let errors =
+                        metrics.counter("gateway_rpc_errors", &[("op", op), ("kind", kind)]);
+                    metrics.inc(errors, 1);
+                }
             }
         }
         // Shutdown is intercepted by the server layer before dispatch, so the
@@ -207,57 +409,46 @@ impl RingGateway {
         // invariant that every logged RPC can join a node-side entry.
         if op != "shutdown" {
             let mut log = lock(&self.op_log);
-            if log.len() == GATEWAY_OP_LOG_CAPACITY {
-                log.pop_front();
+            for &(rid, ms, kind) in &records {
+                if log.len() == GATEWAY_OP_LOG_CAPACITY {
+                    log.pop_front();
+                }
+                log.push_back(OpLogEntry {
+                    request_id: Some(rid),
+                    op: op.to_string(),
+                    duration_ms: ms,
+                    outcome: kind.unwrap_or("ok").to_string(),
+                    slow: false,
+                });
             }
-            log.push_back(OpLogEntry {
-                request_id: Some(rid),
-                op: op.to_string(),
-                duration_ms: elapsed_ms,
-                outcome: kind.unwrap_or("ok").to_string(),
-                slow: false,
-            });
         }
-        result
+        let mut outcomes = outcomes.into_iter().map(|(result, _)| result);
+        calls
+            .iter()
+            .map(|call| call.as_ref().and_then(|_| outcomes.next()))
+            .collect()
     }
 
-    fn rpc_uninstrumented(
-        &self,
-        node: NodeRef,
-        req: &Request,
-        rid: Option<u64>,
-    ) -> Result<Response, WireError> {
-        let mut conns = lock(&self.conns);
-        let mut fresh = false;
-        let mut stream = match conns.remove(&node) {
-            Some(s) => s,
-            None => {
-                fresh = true;
-                self.dial(node)?
-            }
-        };
-        match call_traced(&mut stream, req, rid) {
-            Ok((resp, _)) => {
-                conns.insert(node, stream);
-                Ok(resp)
-            }
-            Err(e) if e.is_transport() && !fresh => {
-                // The pooled connection went stale (daemon restarted, idle
-                // timeout); re-dial once.
-                let mut stream = self.dial(node)?;
-                let (resp, _) = call_traced(&mut stream, req, rid)?;
-                conns.insert(node, stream);
-                Ok(resp)
-            }
-            Err(e) => Err(e),
-        }
+    /// One RPC: a batch of one.
+    fn rpc(&self, node: NodeRef, op: &'static str, req: Request) -> Result<Response, WireError> {
+        self.rpc_batch(op, &[Some((node, req))])
+            .into_iter()
+            .flatten()
+            .next()
+            .unwrap_or_else(|| Err(WireError::Body(format!("no reply to {op}"))))
     }
 
     /// Scrape one daemon's stats.  Deliberately uninstrumented and untraced:
     /// observation must not change the op counts, latencies, or logs it
     /// reads, so repeated scrapes of an idle ring are byte-identical.
     pub fn get_stats(&self, node: NodeRef) -> Result<NodeStats, WireError> {
-        match self.rpc_uninstrumented(node, &Request::GetStats, None)? {
+        let reply = self
+            .exchange(&[(node, &Request::GetStats, None)])
+            .into_iter()
+            .next()
+            .map(|(result, _)| result)
+            .unwrap_or_else(|| Err(WireError::Body("no reply to GetStats".to_string())))?;
+        match reply {
             Response::Stats { stats } => Ok(*stats),
             Response::Error(e) => Err(WireError::Body(e.to_string())),
             other => Err(WireError::Body(format!(
@@ -271,21 +462,39 @@ impl RingGateway {
         lock(&self.op_log).iter().cloned().collect()
     }
 
+    /// Probe each node's capacity over the wire in one batch, refreshing the
+    /// report cache.
+    fn capacity_batch(&self, nodes: &[NodeRef]) -> Vec<Option<ByteSize>> {
+        let calls: Vec<_> = nodes
+            .iter()
+            .map(|&node| Some((node, Request::GetCapacity)))
+            .collect();
+        let frees: Vec<Option<ByteSize>> = self
+            .rpc_batch("get_capacity", &calls)
+            .into_iter()
+            .map(|result| match result {
+                Some(Ok(Response::Capacity { free })) => Some(free),
+                _ => None,
+            })
+            .collect();
+        let mut reports = lock(&self.reports);
+        for (&node, free) in nodes.iter().zip(&frees) {
+            if let Some(free) = free {
+                reports.insert(node, *free);
+            }
+        }
+        frees
+    }
+
     /// Probe one node's capacity over the wire, refreshing the report cache.
     fn capacity_rpc(&self, node: NodeRef) -> Option<ByteSize> {
-        match self.rpc(node, "get_capacity", &Request::GetCapacity) {
-            Ok(Response::Capacity { free }) => {
-                lock(&self.reports).insert(node, free);
-                Some(free)
-            }
-            _ => None,
-        }
+        self.capacity_batch(&[node]).into_iter().next().flatten()
     }
 
     /// Liveness-check one node.
     pub fn ping(&self, node: NodeRef) -> bool {
         matches!(
-            self.rpc(node, "ping", &Request::Ping),
+            self.rpc(node, "ping", Request::Ping),
             Ok(Response::Pong { .. })
         )
     }
@@ -301,7 +510,7 @@ impl RingGateway {
         match self.rpc(
             node,
             "repair_read",
-            &Request::RepairRead {
+            Request::RepairRead {
                 file: file.to_string(),
                 chunk,
             },
@@ -317,7 +526,7 @@ impl RingGateway {
     /// Ask one daemon to shut down gracefully.
     pub fn shutdown_node(&self, node: NodeRef) -> bool {
         matches!(
-            self.rpc(node, "shutdown", &Request::Shutdown),
+            self.rpc(node, "shutdown", Request::Shutdown),
             Ok(Response::ShuttingDown)
         )
     }
@@ -367,13 +576,7 @@ impl ClusterView for RingGateway {
     }
 
     fn can_store(&self, node: NodeRef, size: ByteSize) -> bool {
-        if !self.is_alive(node) {
-            return false;
-        }
-        match self.capacity_rpc(node) {
-            Some(free) => size <= free,
-            None => false,
-        }
+        self.is_alive(node) && self.capacity_rpc(node).is_some_and(|free| size <= free)
     }
 
     fn report_of(&self, node: NodeRef) -> ByteSize {
@@ -397,9 +600,41 @@ impl ClusterView for RingGateway {
 
 impl ProbeView for RingGateway {
     fn probe(&mut self, key: Id) -> Option<(NodeRef, ByteSize)> {
-        let (_, node) = self.ring.route(key)?;
-        let free = self.capacity_rpc(node)?;
-        Some((node, free))
+        self.probe_all(&[key])?.into_iter().next()
+    }
+
+    /// All of the chunk's probes in one pipelined batch.  When some probe
+    /// fails, the probes after it have been issued too.
+    fn probe_all(&mut self, keys: &[Id]) -> Option<Vec<(NodeRef, ByteSize)>> {
+        let nodes: Vec<NodeRef> = keys
+            .iter()
+            .map(|&key| self.ring.route(key).map(|(_, node)| node))
+            .collect::<Option<_>>()?;
+        let frees = self.capacity_batch(&nodes);
+        nodes
+            .into_iter()
+            .zip(frees)
+            .map(|(node, free)| Some((node, free?)))
+            .collect()
+    }
+}
+
+/// What a `StoreBlock` reply means for the store path.
+fn store_outcome(
+    node: NodeRef,
+    result: Option<Result<Response, WireError>>,
+) -> Result<NodeRef, ClusterStoreError> {
+    match result {
+        Some(Ok(Response::Stored)) => Ok(node),
+        Some(Ok(Response::Error(RemoteError::InsufficientSpace))) => Err(
+            ClusterStoreError::Refused(NodeStoreError::InsufficientSpace),
+        ),
+        Some(Ok(Response::Error(RemoteError::AlreadyStored))) => {
+            Err(ClusterStoreError::Refused(NodeStoreError::AlreadyStored))
+        }
+        // A node outside the ring, a transport failure or a protocol
+        // surprise all read as the node being unreachable.
+        _ => Err(ClusterStoreError::NoLiveNodes),
     }
 }
 
@@ -416,46 +651,70 @@ impl StorageBackend for RingGateway {
         size: ByteSize,
         payload: Option<Vec<u8>>,
     ) -> Result<NodeRef, ClusterStoreError> {
-        if !self.is_alive(node) {
-            return Err(ClusterStoreError::NoLiveNodes);
-        }
-        match self.rpc(
+        let write = BlockWrite {
             node,
-            "store_block",
-            &Request::StoreBlock {
-                key,
-                name,
-                size,
-                payload,
-            },
-        ) {
-            Ok(Response::Stored) => Ok(node),
-            Ok(Response::Error(RemoteError::InsufficientSpace)) => Err(ClusterStoreError::Refused(
-                NodeStoreError::InsufficientSpace,
-            )),
-            Ok(Response::Error(RemoteError::AlreadyStored)) => {
-                Err(ClusterStoreError::Refused(NodeStoreError::AlreadyStored))
-            }
-            // A transport failure or protocol surprise reads as the node
-            // being unreachable.
-            Ok(_) | Err(_) => Err(ClusterStoreError::NoLiveNodes),
-        }
+            key,
+            name,
+            size,
+            payload,
+        };
+        self.store_blocks(vec![write])
+            .into_iter()
+            .next()
+            .unwrap_or(Err(ClusterStoreError::NoLiveNodes))
+    }
+
+    /// Every write in one pipelined batch; writes to nodes outside the ring
+    /// are refused without an RPC.
+    fn store_blocks(&mut self, writes: Vec<BlockWrite>) -> Vec<Result<NodeRef, ClusterStoreError>> {
+        let nodes: Vec<NodeRef> = writes.iter().map(|w| w.node).collect();
+        let calls: Vec<_> = writes
+            .into_iter()
+            .map(|w| {
+                self.is_alive(w.node).then(|| {
+                    let req = Request::StoreBlock {
+                        key: w.key,
+                        name: w.name,
+                        size: w.size,
+                        payload: w.payload,
+                    };
+                    (w.node, req)
+                })
+            })
+            .collect();
+        self.rpc_batch("store_block", &calls)
+            .into_iter()
+            .zip(nodes)
+            .map(|(result, node)| store_outcome(node, result))
+            .collect()
     }
 
     fn fetch_block(&self, node: NodeRef, name: &ObjectName) -> Option<FetchedBlock> {
-        if !self.is_alive(node) {
-            return None;
-        }
-        match self.rpc(
-            node,
-            "fetch_block",
-            &Request::FetchBlock { name: name.clone() },
-        ) {
-            Ok(Response::Block {
-                block: Some((size, payload)),
-            }) => Some(FetchedBlock { size, payload }),
-            _ => None,
-        }
+        self.fetch_blocks(&[(node, name)])
+            .into_iter()
+            .next()
+            .flatten()
+    }
+
+    /// Every fetch in one pipelined batch; nodes outside the ring answer
+    /// `None` without an RPC.
+    fn fetch_blocks(&self, reqs: &[(NodeRef, &ObjectName)]) -> Vec<Option<FetchedBlock>> {
+        let calls: Vec<_> = reqs
+            .iter()
+            .map(|&(node, name)| {
+                self.is_alive(node)
+                    .then(|| (node, Request::FetchBlock { name: name.clone() }))
+            })
+            .collect();
+        self.rpc_batch("fetch_block", &calls)
+            .into_iter()
+            .map(|result| match result {
+                Some(Ok(Response::Block {
+                    block: Some((size, payload)),
+                })) => Some(FetchedBlock { size, payload }),
+                _ => None,
+            })
+            .collect()
     }
 
     fn rollback_block(&mut self, node: NodeRef, name: &ObjectName, size: ByteSize) {
@@ -465,7 +724,7 @@ impl StorageBackend for RingGateway {
         let _ = self.rpc(
             node,
             "remove_block",
-            &Request::RemoveBlock {
+            Request::RemoveBlock {
                 name: name.clone(),
                 size,
             },

@@ -13,7 +13,9 @@
 //! * [`gateway`] — a [`RingGateway`] implementing the same cluster-facing
 //!   traits as the simulator (`ClusterView` / `ProbeView` /
 //!   `StorageBackend`), so the `PeerStripe` client, the placement
-//!   strategies, and the repair stack drive live daemons unchanged.
+//!   strategies, and the repair stack drive live daemons unchanged; it
+//!   pipelines each chunk's probes, block stores and fetches across the
+//!   ring.
 //!
 //! [`ring`] spawns localhost rings of real daemon processes for experiments
 //! and tests; `repro ring` stores and recovers a file across such a ring

@@ -27,7 +27,7 @@ use peerstripe_sim::ByteSize;
 use peerstripe_telemetry::RegistryExport;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// First two header bytes of every frame: `"PS"` little-endian.
 pub const MAGIC: u16 = 0x5053;
@@ -120,6 +120,22 @@ impl std::error::Error for WireError {
         match self {
             WireError::Io(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl Clone for WireError {
+    /// A copy for every call a failure ends: an I/O error keeps its kind and
+    /// message, which is all the gateway reads back from it.
+    fn clone(&self) -> Self {
+        match self {
+            WireError::Io(e) => WireError::Io(std::io::Error::new(e.kind(), e.to_string())),
+            WireError::Truncated => WireError::Truncated,
+            WireError::BadMagic(m) => WireError::BadMagic(*m),
+            WireError::Version(v) => WireError::Version(*v),
+            WireError::Oversized(n) => WireError::Oversized(*n),
+            WireError::UnknownKind(k) => WireError::UnknownKind(*k),
+            WireError::Body(e) => WireError::Body(e.clone()),
         }
     }
 }
@@ -449,7 +465,9 @@ fn parse_meta<T: Deserialize>(v: &Value) -> Result<T, WireError> {
     T::from_value(v).map_err(|e| WireError::Body(e.to_string()))
 }
 
-/// Write one raw frame.
+/// Write one raw frame with one `write_vectored` call per attempt, so a
+/// frame leaves a `TCP_NODELAY` socket as one segment where it fits, not as
+/// separate header, meta and payload segments.
 fn write_frame(w: &mut impl Write, kind: u8, meta: &str, payload: &[u8]) -> Result<(), WireError> {
     let meta_len = meta.len() as u64;
     let payload_len = payload.len() as u64;
@@ -462,10 +480,33 @@ fn write_frame(w: &mut impl Write, kind: u8, meta: &str, payload: &[u8]) -> Resu
     header[3] = kind;
     header[4..8].copy_from_slice(&(meta_len as u32).to_le_bytes());
     header[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(meta.as_bytes())?;
-    w.write_all(payload)?;
+    let mut parts = [
+        IoSlice::new(&header),
+        IoSlice::new(meta.as_bytes()),
+        IoSlice::new(payload),
+    ];
+    write_all_vectored(w, &mut parts)?;
     w.flush()?;
+    Ok(())
+}
+
+/// Write every byte of `bufs`, resuming after partial writes and retrying
+/// interrupted ones.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(())
 }
 
@@ -1064,6 +1105,103 @@ mod tests {
         assert!(matches!(
             read_request(&mut Cursor::new(pong)),
             Err(WireError::UnknownKind(k)) if k == kind::PONG
+        ));
+    }
+
+    /// A socket-like sink: accepts up to `max_chunk` bytes per call across
+    /// all the slices it is handed, fails the first `interrupts` calls with
+    /// `Interrupted`, and counts both kinds of write call.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        max_chunk: usize,
+        interrupts: usize,
+        writes: usize,
+        vectored_writes: usize,
+    }
+
+    impl CountingWriter {
+        fn new(max_chunk: usize, interrupts: usize) -> Self {
+            CountingWriter {
+                bytes: Vec::new(),
+                max_chunk,
+                interrupts,
+                writes: 0,
+                vectored_writes: 0,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(self.max_chunk);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored_writes += 1;
+            if self.interrupts > 0 {
+                self.interrupts -= 1;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut left = self.max_chunk;
+            for buf in bufs {
+                let n = buf.len().min(left);
+                self.bytes.extend_from_slice(&buf[..n]);
+                left -= n;
+            }
+            Ok(self.max_chunk - left)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn sample_store() -> Request {
+        Request::StoreBlock {
+            key: Id::hash("k"),
+            name: ObjectName::block("f", 0, 0),
+            size: ByteSize::kb(1),
+            payload: Some((0..=255u8).collect()),
+        }
+    }
+
+    #[test]
+    fn a_small_frame_is_one_write_call() {
+        let mut expected = Vec::new();
+        write_request_traced(&mut expected, &sample_store(), Some(9)).unwrap();
+        let mut sink = CountingWriter::new(usize::MAX, 0);
+        write_request_traced(&mut sink, &sample_store(), Some(9)).unwrap();
+        assert_eq!(
+            sink.vectored_writes, 1,
+            "header, meta and payload in one call"
+        );
+        assert_eq!(sink.writes, 0);
+        assert_eq!(sink.bytes, expected);
+    }
+
+    #[test]
+    fn partial_and_interrupted_writes_still_deliver_the_whole_frame() {
+        let mut expected = Vec::new();
+        write_request_traced(&mut expected, &sample_store(), Some(9)).unwrap();
+        // Chunks of 5 bytes cut through the header, the meta and the payload.
+        let mut sink = CountingWriter::new(5, 2);
+        write_request_traced(&mut sink, &sample_store(), Some(9)).unwrap();
+        assert_eq!(sink.bytes, expected);
+        assert_eq!(sink.vectored_writes, 2 + expected.len().div_ceil(5));
+        let (req, rid) = read_request_traced(&mut Cursor::new(sink.bytes)).unwrap();
+        assert_eq!(req, sample_store());
+        assert_eq!(rid, Some(9));
+    }
+
+    #[test]
+    fn a_sink_that_accepts_nothing_fails_the_write() {
+        let mut sink = CountingWriter::new(0, 0);
+        assert!(matches!(
+            write_request(&mut sink, &Request::Ping),
+            Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WriteZero
         ));
     }
 

@@ -222,17 +222,6 @@ pub fn call(stream: &mut TcpStream, req: &Request) -> Result<Response, WireError
     crate::protocol::read_response(stream)
 }
 
-/// One round-trip RPC carrying a request id; returns the reply and the id it
-/// echoed (absent on [`Response::Error`] replies, which are never traced).
-pub fn call_traced(
-    stream: &mut TcpStream,
-    req: &Request,
-    rid: Option<u64>,
-) -> Result<(Response, Option<u64>), WireError> {
-    crate::protocol::write_request_traced(stream, req, rid)?;
-    crate::protocol::read_response_traced(stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,6 +229,17 @@ mod tests {
     use peerstripe_core::ObjectName;
     use peerstripe_overlay::Id;
     use peerstripe_sim::ByteSize;
+
+    /// One round-trip RPC carrying a request id; returns the reply and the
+    /// id it echoed (absent on [`Response::Error`] replies, never traced).
+    fn call_traced(
+        stream: &mut TcpStream,
+        req: &Request,
+        rid: Option<u64>,
+    ) -> Result<(Response, Option<u64>), WireError> {
+        crate::protocol::write_request_traced(stream, req, rid)?;
+        crate::protocol::read_response_traced(stream)
+    }
 
     fn start() -> RunningNode {
         let service = NodeService::new(&NodeConfig::named("node-0", ByteSize::mb(64)));

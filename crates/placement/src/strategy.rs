@@ -49,6 +49,17 @@ pub trait ClusterView {
 pub trait ProbeView: ClusterView {
     /// Route a key and probe the responsible node's capacity (one lookup).
     fn probe(&mut self, key: Id) -> Option<(NodeRef, ByteSize)>;
+
+    /// Probe every key of one chunk: one `(node, report)` per key, in call
+    /// order, or `None` if any probe fails.
+    ///
+    /// The default is the sequential loop over [`ProbeView::probe`], which
+    /// stops at the first failure.  A networked view may override it to have
+    /// all probes in flight at once; such a view has then already issued the
+    /// probes after a failed one when it returns `None`.
+    fn probe_all(&mut self, keys: &[Id]) -> Option<Vec<(NodeRef, ByteSize)>> {
+        keys.iter().map(|&key| self.probe(key)).collect()
+    }
 }
 
 /// What a repair re-placement asks of a strategy.
@@ -97,6 +108,9 @@ pub trait PlacementStrategy {
 
 /// Today's oblivious behaviour, extracted: route every block key through the
 /// overlay and take whatever live node answers.
+///
+/// A chunk's keys are probed as one [`ProbeView::probe_all`] batch, answered
+/// in key order, so a networked view has all of them in flight at once.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OverlayRandom;
 
@@ -119,11 +133,9 @@ impl PlacementStrategy for OverlayRandom {
         keys: &[Id],
         _domain_cap: usize,
     ) -> Option<Vec<(NodeRef, ByteSize)>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for &key in keys {
-            out.push(view.probe(key)?);
-        }
-        Some(out)
+        // No key's target depends on another key's answer, so the chunk's
+        // probes can go out as one batch.
+        view.probe_all(keys)
     }
 
     fn repair_targets(

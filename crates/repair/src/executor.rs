@@ -17,6 +17,24 @@ use peerstripe_overlay::NodeRef;
 use peerstripe_placement::{OverlayRandom, PlacementStrategy, RepairRequest, Topology};
 use peerstripe_sim::{ByteSize, DetRng};
 
+/// Fetch every placed block of `chunk` in one batch: whether any live node
+/// still holds one, and the codec blocks their payloads carry.
+fn fetch_survivors<B: StorageBackend>(
+    backend: &B,
+    chunk: &ChunkPlacement,
+) -> (bool, Vec<EncodedBlock>) {
+    let reqs: Vec<_> = chunk.blocks.iter().map(|b| (b.node, &b.name)).collect();
+    let fetched = backend.fetch_blocks(&reqs);
+    let any_object = fetched.iter().any(Option::is_some);
+    let blocks = fetched
+        .into_iter()
+        .flatten()
+        .filter_map(|object| object.payload)
+        .flat_map(|payload| unpack_payload(&payload))
+        .collect();
+    (any_object, blocks)
+}
+
 /// Rebuilds lost block payloads through a coding policy's codec.
 pub struct RegenerationExecutor {
     codec: Box<dyn ErasureCode>,
@@ -52,15 +70,7 @@ impl RegenerationExecutor {
         backend: &B,
         chunk: &ChunkPlacement,
     ) -> Vec<EncodedBlock> {
-        let mut blocks = Vec::new();
-        for placement in &chunk.blocks {
-            if let Some(object) = backend.fetch_block(placement.node, &placement.name) {
-                if let Some(payload) = &object.payload {
-                    blocks.extend(unpack_payload(payload));
-                }
-            }
-        }
-        blocks
+        fetch_survivors(backend, chunk).1
     }
 
     /// Rebuild every codec block of `chunk` that no live node currently holds,
@@ -74,17 +84,7 @@ impl RegenerationExecutor {
         backend: &B,
         chunk: &ChunkPlacement,
     ) -> Result<Option<Vec<u8>>, DecodeError> {
-        let mut any_object = false;
-        for placement in &chunk.blocks {
-            if backend
-                .fetch_block(placement.node, &placement.name)
-                .is_some()
-            {
-                any_object = true;
-                break;
-            }
-        }
-        let surviving = self.surviving_blocks(backend, chunk);
+        let (any_object, surviving) = fetch_survivors(backend, chunk);
         if surviving.is_empty() {
             // Distinguish "placement-only deployment" (objects reachable but
             // size-only) from "every holder is dead": the latter is a loss the
